@@ -3,7 +3,6 @@ package expt
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"errors"
 	"fmt"
 	mrand "math/rand"
 
@@ -73,7 +72,7 @@ func E5DeltaUpdates(scale Scale, seed int64) (*Report, error) {
 			l.Close()
 			return nil, err
 		}
-		heldEpoch, held, err := l.FilterSnapshot()
+		_, held, err := l.FilterSnapshot()
 		if err != nil {
 			l.Close()
 			return nil, err
@@ -92,30 +91,27 @@ func E5DeltaUpdates(scale Scale, seed int64) (*Report, error) {
 				l.Close()
 				return nil, err
 			}
-			delta, latest, err := l.FilterDelta(heldEpoch)
-			if err != nil && !errors.Is(err, bloom.ErrMismatch) {
+			// The delta the proxy fetches: the bit flips from its held
+			// epoch to the latest, both in-process snapshots. A resize
+			// (bloom.ErrMismatch) forces a full resync.
+			_, snap, err := l.FilterSnapshot()
+			if err != nil {
 				l.Close()
 				return nil, err
 			}
-			applyErr := err
+			delta, applyErr := bloom.Delta(held, snap)
 			if applyErr == nil {
 				applyErr = bloom.Apply(held, delta)
 			}
 			if applyErr != nil {
-				// Population outgrew the filter parameters: full resync.
 				resyncs++
-				latest, held, err = l.FilterSnapshot()
-				if err != nil {
-					l.Close()
-					return nil, err
-				}
+				held = snap
 				total += len(held.Marshal())
 				deltaSizes = append(deltaSizes, len(held.Marshal()))
 			} else {
 				total += len(delta)
 				deltaSizes = append(deltaSizes, len(delta))
 			}
-			heldEpoch = latest
 		}
 		// Verify exactness against a fresh download.
 		_, fresh, err := l.FilterSnapshot()

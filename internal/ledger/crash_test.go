@@ -139,6 +139,7 @@ func TestCrashRecoveryRandomWALTruncation(t *testing.T) {
 		if got, _ := rl.Count(); uint64(got) != wantClaims {
 			t.Fatalf("trial %d: recovered claim count %d, state says %d", trial, got, wantClaims)
 		}
+		checkCountMatchesState(t, rl)
 		if err := rl.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -191,6 +192,7 @@ func TestCrashDuringSegmentSealRecovers(t *testing.T) {
 	if got := stateHash(t, rl); got != want {
 		t.Fatal("recovered state differs after crashed seals")
 	}
+	checkCountMatchesState(t, rl)
 	// And a clean flush afterwards still works and preserves state.
 	if err := rl.Flush(); err != nil {
 		t.Fatal(err)
@@ -255,6 +257,7 @@ func TestCrashDuringCompactionRecovers(t *testing.T) {
 	if got := stateHash(t, rl); got != want {
 		t.Fatal("recovered state differs after crashed compaction")
 	}
+	checkCountMatchesState(t, rl)
 	if err := rl.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +313,7 @@ func TestRecoveryRemovesOrphans(t *testing.T) {
 	if got := stateHash(t, rl); got != want {
 		t.Fatal("orphan sweep changed state")
 	}
+	checkCountMatchesState(t, rl)
 }
 
 // TestBinaryWALMidFileCorruptionRefused: bit rot in the middle of a WAL
@@ -414,6 +418,7 @@ func TestLegacyWALMidFileCorruptionRefused(t *testing.T) {
 		if claims, _ := rl.Count(); claims != 2 {
 			t.Fatalf("claims after torn-tail recovery = %d, want 2", claims)
 		}
+		checkCountMatchesState(t, rl)
 	})
 }
 

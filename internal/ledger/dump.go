@@ -86,45 +86,7 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 	}
 	switch st := l.store.(type) {
 	case *segEngine:
-		// Group per shard so each stripe is locked once, stage every
-		// frame, then pay one group commit for the whole batch.
-		groups := make(map[*shard][]int)
-		for i := range recs {
-			sh := l.shardFor(recs[i].ID)
-			groups[sh] = append(groups[sh], i)
-		}
-		var frames []byte
-		var err error
-		for sh, idxs := range groups {
-			sh.mu.Lock()
-			for _, i := range idxs {
-				cp := recs[i]
-				frames, err = appendClaimFrame(frames, &cp)
-				if err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				sh.records[cp.ID] = &cp
-				if cp.State == StateRevoked || cp.State == StatePermanentlyRevoked {
-					sh.revoked[cp.ID] = true
-				} else {
-					// Restoring a newer active version must clear any stale
-					// revoked-index entry, or future filter snapshots keep
-					// flagging a claim that is no longer revoked.
-					delete(sh.revoked, cp.ID)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if err := st.wal.append(frames, len(recs)); err != nil {
-			return err
-		}
-		st.claimCount.Add(n)
-		l.metrics.claims.Add(n)
-		if st.memRecs.Add(int64(n)) >= st.flushLimit {
-			st.maybeFlush()
-		}
-		return nil
+		return l.restoreSegments(st, recs)
 	case *jsonStore:
 		for i := range recs {
 			cp := recs[i]
@@ -170,4 +132,61 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 		l.metrics.claims.Add(n)
 		return nil
 	}
+}
+
+// restoreSegments is RestoreRecords on the segment engine. Publishing
+// the records, appending their WAL frames and bumping claimCount must
+// be one step with respect to a flush freeze: a flush cutting in after
+// the append but before the count seals the batch under a manifest
+// count that misses it, and the pre-rotation WAL holding its frames is
+// then dropped, so Count comes back short by the batch after reopen.
+// The touched shards therefore stay write-locked until the count
+// covers the batch. They are taken in ascending index order, the order
+// lockAllShards read-locks them in, so the freeze cannot deadlock
+// against us.
+func (l *Ledger) restoreSegments(st *segEngine, recs []Record) error {
+	groups := make([][]int, len(l.shards))
+	for i := range recs {
+		s := recs[i].ID.Hash64() & l.shardMask
+		groups[s] = append(groups[s], i)
+	}
+	var frames []byte
+	var err error
+	for s, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
+		sh := &l.shards[s]
+		sh.mu.Lock()
+		defer sh.mu.Unlock() // held until the count covers the batch
+		for _, i := range idxs {
+			cp := recs[i]
+			frames, err = appendClaimFrame(frames, &cp)
+			if err != nil {
+				return err
+			}
+			sh.records[cp.ID] = &cp
+			if cp.State == StateRevoked || cp.State == StatePermanentlyRevoked {
+				sh.revoked[cp.ID] = true
+			} else {
+				// Restoring a newer active version must clear any stale
+				// revoked-index entry, or future filter snapshots keep
+				// flagging a claim that is no longer revoked.
+				delete(sh.revoked, cp.ID)
+			}
+		}
+	}
+	n := uint64(len(recs))
+	if err := st.wal.append(frames, len(recs)); err != nil {
+		return err
+	}
+	if st.restoreHook != nil {
+		st.restoreHook()
+	}
+	st.claimCount.Add(n)
+	l.metrics.claims.Add(n)
+	if st.memRecs.Add(int64(n)) >= st.flushLimit {
+		st.maybeFlush() // starts a background flush; never blocks
+	}
+	return nil
 }

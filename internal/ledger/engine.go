@@ -83,6 +83,10 @@ type segEngine struct {
 	// segFailAfter, when set, makes the next segment seal fail after
 	// that many bytes — the crash-injection suite's kill switch.
 	segFailAfter atomic.Int64
+	// restoreHook, when set, runs inside RestoreRecords between the WAL
+	// append and the claimCount bump — the window a flush freeze must
+	// not cut into.
+	restoreHook func()
 
 	closed atomic.Bool
 }

@@ -179,6 +179,92 @@ func TestSegmentReopenShardAndEngineEquivalence(t *testing.T) {
 	}
 }
 
+// distinctIDs counts the records in the canonical StateHash walk.
+func distinctIDs(t testing.TB, l *Ledger) int {
+	t.Helper()
+	n := 0
+	if err := l.walkState(func(*Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// checkCountMatchesState pins the recovery invariant: the exact claim
+// count equals the number of distinct identifiers the state walk sees.
+func checkCountMatchesState(t testing.TB, l *Ledger) {
+	t.Helper()
+	if got, _ := l.Count(); got != distinctIDs(t, l) {
+		t.Fatalf("Count() = %d, state walk holds %d distinct ids", got, distinctIDs(t, l))
+	}
+}
+
+// TestRestoreRecordsFlushInterleaving forces a flush into
+// RestoreRecords between its WAL append and its claim-count bump. While
+// the batch's shard locks are free there (the window is open), the
+// hook runs the flush to completion inside it; while they are held, the
+// flush can only start and must wait for the batch to finish. Either
+// way the count must survive reopen at every shard count.
+func TestRestoreRecordsFlushInterleaving(t *testing.T) {
+	recs := makeRecords(t, 7, 300, 42)
+	for _, shards := range []int{1, 8, 32} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := New(Config{ID: 7, Dir: dir, Shards: shards, Engine: EngineSegments, MemtableRecords: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.RestoreRecords(recs[:100]); err != nil {
+				t.Fatal(err)
+			}
+			flushed := make(chan error, 1)
+			l.store.(*segEngine).restoreHook = func() {
+				if shardsFree(l) {
+					flushed <- l.Flush()
+					return
+				}
+				go func() { flushed <- l.Flush() }()
+			}
+			if err := l.RestoreRecords(recs[100:200]); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			l.store.(*segEngine).restoreHook = nil
+			if err := l.RestoreRecords(recs[200:]); err != nil {
+				t.Fatal(err)
+			}
+			checkCountMatchesState(t, l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rl, err := New(Config{ID: 7, Dir: dir, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rl.Close()
+			if got, _ := rl.Count(); got != len(recs) {
+				t.Fatalf("claims after reopen = %d, want %d", got, len(recs))
+			}
+			checkCountMatchesState(t, rl)
+		})
+	}
+}
+
+// shardsFree reports whether every shard can be read-locked right now,
+// i.e. no mutator holds a shard across the caller's point.
+func shardsFree(l *Ledger) bool {
+	free := true
+	for i := range l.shards {
+		if l.shards[i].mu.TryRLock() {
+			l.shards[i].mu.RUnlock()
+		} else {
+			free = false
+		}
+	}
+	return free
+}
+
 func TestSegmentBackgroundFlushAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, err := New(Config{ID: 3, Dir: dir, Engine: EngineSegments, MemtableRecords: 50, CompactAfter: 3})

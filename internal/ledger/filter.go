@@ -21,9 +21,9 @@ import (
 // by every labeled photo). We implement the reading the arithmetic
 // requires and record the discrepancy here and in EXPERIMENTS.md.
 //
-// Snapshots are numbered; proxies holding epoch E can fetch a compact
-// delta E→latest instead of the full filter (hourly delta updates,
-// §4.4).
+// Snapshots are numbered; a proxy holding epoch E syncs to the latest
+// with a compact delta E→latest instead of the full filter (hourly
+// delta updates, §4.4) — FilterSync below, the only distribution path.
 
 // FilterKey maps a photo identifier into the filter key space.
 func FilterKey(id ids.PhotoID) uint64 {
@@ -97,12 +97,9 @@ func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 	return l.snapSeq, nil
 }
 
-// Snapshot errors.
-var (
-	ErrNoSnapshot    = errors.New("ledger: no filter snapshot built yet")
-	ErrSnapshotGone  = errors.New("ledger: requested snapshot epoch expired")
-	ErrSnapshotAhead = errors.New("ledger: requested snapshot epoch not yet built")
-)
+// ErrNoSnapshot is returned by the snapshot accessors before the first
+// BuildSnapshot.
+var ErrNoSnapshot = errors.New("ledger: no filter snapshot built yet")
 
 // FilterSnapshot returns the latest snapshot epoch and a copy of its
 // filter.
@@ -114,33 +111,6 @@ func (l *Ledger) FilterSnapshot() (uint64, *bloom.Filter, error) {
 	}
 	seq := l.snapOrder[len(l.snapOrder)-1]
 	return seq, l.snapshots[seq].Clone(), nil
-}
-
-// FilterDelta returns the delta bytes transforming epoch fromSeq into
-// the latest epoch, plus the latest epoch number. Callers already at the
-// latest epoch get an empty delta. If the filters' parameters changed
-// between the epochs (population growth forced a resize), ErrMismatch
-// propagates and the caller falls back to a full fetch.
-func (l *Ledger) FilterDelta(fromSeq uint64) (delta []byte, latest uint64, err error) {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	if len(l.snapOrder) == 0 {
-		return nil, 0, ErrNoSnapshot
-	}
-	latest = l.snapOrder[len(l.snapOrder)-1]
-	if fromSeq > latest {
-		return nil, latest, ErrSnapshotAhead
-	}
-	if fromSeq == latest {
-		d, err := bloom.Delta(l.snapshots[latest], l.snapshots[latest])
-		return d, latest, err
-	}
-	from, ok := l.snapshots[fromSeq]
-	if !ok {
-		return nil, latest, ErrSnapshotGone
-	}
-	d, err := bloom.Delta(from, l.snapshots[latest])
-	return d, latest, err
 }
 
 // FilterSync is the versioned sync protocol's server side: the caller

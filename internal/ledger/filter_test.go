@@ -12,8 +12,8 @@ func TestSnapshotBeforeBuild(t *testing.T) {
 	if _, _, err := l.FilterSnapshot(); err != ErrNoSnapshot {
 		t.Errorf("got %v, want ErrNoSnapshot", err)
 	}
-	if _, _, err := l.FilterDelta(0); err != ErrNoSnapshot {
-		t.Errorf("delta: got %v, want ErrNoSnapshot", err)
+	if _, _, err := l.FilterSync(0, nil); err != ErrNoSnapshot {
+		t.Errorf("sync: got %v, want ErrNoSnapshot", err)
 	}
 }
 
@@ -92,7 +92,8 @@ func TestSnapshotDelta(t *testing.T) {
 	if seq2 != seq1+1 {
 		t.Errorf("epoch 2 = %d", seq2)
 	}
-	delta, latest, err := l.FilterDelta(seq1)
+	h1 := f1.Hash()
+	delta, latest, err := l.FilterSync(seq1, h1[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,12 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 	// Applying the delta to epoch 1 must produce a filter containing the
 	// newly revoked ids.
-	if err := bloom.Apply(f1, delta); err != nil {
+	got, err := bloom.ApplyUpdate(f1, delta)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if !f1.Test(FilterKey(receipts[i].ID)) {
+		if !got.Test(FilterKey(receipts[i].ID)) {
 			t.Errorf("delta-updated filter missing revoked id %d", i)
 		}
 	}
@@ -119,34 +121,23 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// A holder already at the latest epoch: the sync round reports it
+// current and hands back the very filter it holds.
 func TestSnapshotDeltaSameEpoch(t *testing.T) {
 	l := newLedger(t)
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	delta, latest, err := l.FilterDelta(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest != 1 {
-		t.Errorf("latest = %d", latest)
-	}
 	_, f, err := l.FilterSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bloom.Apply(f, delta); err != nil {
-		t.Fatalf("empty delta should apply cleanly: %v", err)
-	}
-}
-
-func TestSnapshotDeltaAheadAndGone(t *testing.T) {
-	l := newLedger(t)
-	if _, err := l.BuildSnapshot(); err != nil {
+	next, latest, received, err := bloom.Sync(l.FilterSync, 1, f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.FilterDelta(99); err != ErrSnapshotAhead {
-		t.Errorf("future epoch: got %v, want ErrSnapshotAhead", err)
+	if next != f || latest != 1 || received != 0 {
+		t.Errorf("current holder: same filter %v, latest %d, %d bytes", next == f, latest, received)
 	}
 }
 
@@ -161,12 +152,25 @@ func TestSnapshotHistoryEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Epochs 1 and 2 must be evicted with history 3 (epochs 3,4,5 kept).
-	if _, _, err := l.FilterDelta(1); err != ErrSnapshotGone {
-		t.Errorf("evicted epoch: got %v, want ErrSnapshotGone", err)
+	// Epochs 1 and 2 must be evicted with history 3 (epochs 3,4,5 kept):
+	// a holder of an evicted epoch gets a full snapshot, a holder of a
+	// retained one a delta. All five epochs hold the same bits.
+	_, f, err := l.FilterSnapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := l.FilterDelta(3); err != nil {
-		t.Errorf("retained epoch: %v", err)
+	h := f.Hash()
+	for _, tc := range []struct {
+		from     uint64
+		snapshot bool
+	}{{1, true}, {3, false}} {
+		payload, _, err := l.FilterSync(tc.from, h[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bloom.ApplyUpdate(nil, payload); (err == nil) != tc.snapshot {
+			t.Errorf("epoch %d: standalone snapshot = %v, want %v", tc.from, err == nil, tc.snapshot)
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package proxy
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync/atomic"
 
 	"irs/internal/ids"
@@ -17,17 +14,19 @@ import (
 )
 
 // Client is the browser extension's view of a proxy: Validate for a
-// single image, ValidateBatch for a page-load round. Like wire.Client
-// it can prefer the IRSW1 codec and negotiates per request, so an
+// single image, ValidateBatch for a page-load round. It negotiates the
+// codec through the same wire.Negotiator as the ledger client, so an
 // extension built against a binary-capable proxy keeps working against
-// an older JSON-only one (and the reverse) with identical answers.
+// an older JSON-only one (and the reverse) with identical answers, and
+// its failures classify the same way (*wire.TransportError for network
+// failures and damaged frames). Requests carry no deadline of their
+// own; the *http.Client's settings are the only bound.
 type Client struct {
-	base  string
-	http  *http.Client
-	codec wire.Codec
-	// binOK records that the proxy advertised IRSW1, unlocking binary
-	// request bodies for the batch round.
-	binOK atomic.Bool
+	base string
+	// binOK is n's negotiation state: set once the proxy has advertised
+	// IRSW1, unlocking binary request bodies for the batch round.
+	binOK *atomic.Bool
+	n     wire.Negotiator
 }
 
 // NewClient builds a proxy client for base (e.g.
@@ -39,11 +38,12 @@ func NewClient(base string, codec wire.Codec) *Client {
 // NewClientHTTP is NewClient with an explicit *http.Client, e.g. to
 // share a connection pool.
 func NewClientHTTP(base string, codec wire.Codec, hc *http.Client) *Client {
-	return &Client{base: base, http: hc, codec: codec}
+	binOK := new(atomic.Bool)
+	return &Client{base: base, binOK: binOK, n: wire.NewNegotiator(hc, codec, binOK)}
 }
 
 // Codec reports the client's preferred encoding.
-func (c *Client) Codec() wire.Codec { return c.codec }
+func (c *Client) Codec() wire.Codec { return c.n.Codec() }
 
 // ClientResult is one validated answer as the extension consumes it.
 // Proof holds the marshaled ledger proof bytes exactly as the proxy
@@ -110,56 +110,27 @@ func fromWire(v wire.ValidateWire) (ClientResult, error) {
 	return res, nil
 }
 
-// acceptFor returns the Accept header value for the client's codec.
-func (c *Client) acceptFor() string {
-	if c.codec == wire.CodecBinary {
-		return wire.ContentTypeBinary + ", " + wire.ContentTypeJSON
-	}
-	return wire.ContentTypeJSON
-}
-
-// note records the proxy's codec advertisement.
-func (c *Client) note(r *http.Response) {
-	if r.Header.Get(wire.WireHeader) == wire.WireV1 {
-		c.binOK.Store(true)
-	}
-}
-
 // Validate checks one image.
-func (c *Client) Validate(id ids.PhotoID) (ClientResult, error) {
-	req, err := http.NewRequest(http.MethodGet,
-		c.base+"/v1/validate?id="+url.QueryEscape(id.String()), nil)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	req.Header.Set("Accept", c.acceptFor())
-	r, err := c.http.Do(req)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	c.note(r)
-	if !wire.IsBinaryContent(r.Header.Get("Content-Type")) {
-		var resp ValidateResponse
-		if err := decodeJSONResp(r, &resp); err != nil {
-			return ClientResult{}, err
-		}
-		return fromJSON(&resp)
-	}
-	var out ClientResult
-	err = withFrame(r, func(body []byte) error {
-		kind, payload, err := wire.DecodeMsg(body, wire.MaxFramePayload)
-		if err != nil {
+func (c *Client) Validate(id ids.PhotoID) (out ClientResult, err error) {
+	err = c.n.Do(&wire.Call{
+		URL:  c.base + "/v1/validate?id=" + url.QueryEscape(id.String()),
+		Kind: wire.MsgValidateResp,
+		OnBinary: func(payload []byte) error {
+			v, err := wire.DecodeValidateResp(payload)
+			if err != nil {
+				return err
+			}
+			out, err = fromWire(v)
 			return err
-		}
-		if kind != wire.MsgValidateResp {
-			return wire.ErrFrameCorrupt
-		}
-		v, err := wire.DecodeValidateResp(payload)
-		if err != nil {
+		},
+		OnJSON: func(body io.Reader, _ http.Header) error {
+			var resp ValidateResponse
+			err := json.NewDecoder(body).Decode(&resp)
+			if err == nil {
+				out, err = fromJSON(&resp)
+			}
 			return err
-		}
-		out, err = fromWire(v)
-		return err
+		},
 	})
 	return out, err
 }
@@ -170,149 +141,51 @@ func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	sendBinary := c.codec == wire.CodecBinary && c.binOK.Load()
-	out, advertised, err := c.batchOnce(batch, sendBinary)
-	if sendBinary && !advertised {
-		var we *wire.Error
-		if errors.As(err, &we) && we.Code >= 400 && we.Code < 500 {
-			// Rolled-back proxy: it refused the binary body at parse
-			// time, so one JSON re-encode is safe.
-			c.binOK.Store(false)
-			out, _, err = c.batchOnce(batch, false)
-		}
-	}
-	return out, err
-}
-
-func (c *Client) batchOnce(batch []ids.PhotoID, sendBinary bool) (out []ClientResult, advertised bool, err error) {
-	var body []byte
-	ct := wire.ContentTypeJSON
-	if sendBinary {
-		bp := wire.GetBuf()
-		defer wire.PutBuf(bp)
-		*bp = wire.EncodeValidateBatchReq(*bp, batch)
-		body = *bp
-		ct = wire.ContentTypeBinary
-	} else {
-		req := &ValidateBatchRequest{IDs: make([]string, len(batch))}
-		for i, id := range batch {
-			req.IDs[i] = id.String()
-		}
-		body, err = json.Marshal(req)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	hr, err := http.NewRequest(http.MethodPost, c.base+"/v1/validate/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	hr.Header.Set("Content-Type", ct)
-	hr.Header.Set("Accept", c.acceptFor())
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return nil, false, err
-	}
-	advertised = r.Header.Get(wire.WireHeader) == wire.WireV1
-	c.note(r)
-	if !wire.IsBinaryContent(r.Header.Get("Content-Type")) {
-		var resp ValidateBatchResponse
-		if err := decodeJSONResp(r, &resp); err != nil {
-			return nil, advertised, err
-		}
-		if len(resp.Results) != len(batch) {
-			return nil, advertised, fmt.Errorf("proxy: %d results for %d ids", len(resp.Results), len(batch))
-		}
-		out = make([]ClientResult, len(batch))
-		for i := range resp.Results {
-			out[i], err = fromJSON(&resp.Results[i])
-			if err != nil {
-				return nil, advertised, err
+	out := make([]ClientResult, len(batch))
+	err := c.n.Do(&wire.Call{
+		URL: c.base + "/v1/validate/batch",
+		JSON: func() any {
+			req := &ValidateBatchRequest{IDs: make([]string, len(batch))}
+			for i, id := range batch {
+				req.IDs[i] = id.String()
 			}
-		}
-		return out, advertised, nil
-	}
-	out = make([]ClientResult, len(batch))
-	err = withFrame(r, func(fb []byte) error {
-		kind, payload, err := wire.DecodeMsg(fb, wire.MaxFramePayload)
-		if err != nil {
+			return req
+		},
+		Binary: func(dst []byte) []byte { return wire.EncodeValidateBatchReq(dst, batch) },
+		Kind:   wire.MsgValidateBatchResp,
+		OnBinary: func(payload []byte) error {
+			n, err := wire.DecodeValidateBatchResp(payload, func(i int, v wire.ValidateWire) error {
+				if i >= len(batch) {
+					return fmt.Errorf("proxy: more results than the %d requested", len(batch))
+				}
+				var err error
+				out[i], err = fromWire(v)
+				return err
+			})
+			if err == nil && n != len(batch) {
+				err = fmt.Errorf("proxy: %d results for %d ids", n, len(batch))
+			}
 			return err
-		}
-		if kind != wire.MsgValidateBatchResp {
-			return wire.ErrFrameCorrupt
-		}
-		n, err := wire.DecodeValidateBatchResp(payload, func(i int, v wire.ValidateWire) error {
-			if i >= len(batch) {
-				return fmt.Errorf("proxy: more results than the %d requested", len(batch))
+		},
+		OnJSON: func(body io.Reader, _ http.Header) error {
+			var resp ValidateBatchResponse
+			if err := json.NewDecoder(body).Decode(&resp); err != nil {
+				return err
 			}
-			cr, cerr := fromWire(v)
-			if cerr != nil {
-				return cerr
+			if len(resp.Results) != len(batch) {
+				return fmt.Errorf("proxy: %d results for %d ids", len(resp.Results), len(batch))
 			}
-			out[i] = cr
+			for i := range resp.Results {
+				var err error
+				if out[i], err = fromJSON(&resp.Results[i]); err != nil {
+					return err
+				}
+			}
 			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if n != len(batch) {
-			return fmt.Errorf("proxy: %d results for %d ids", n, len(batch))
-		}
-		return nil
+		},
 	})
 	if err != nil {
-		return nil, advertised, err
+		return nil, err
 	}
-	return out, advertised, nil
-}
-
-// decodeJSONResp decodes a JSON response (success or protocol error),
-// draining the body for connection reuse.
-func decodeJSONResp(r *http.Response, v any) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-	}()
-	lim := io.LimitReader(r.Body, 1<<20)
-	if r.StatusCode/100 != 2 {
-		var e wire.Error
-		if err := json.NewDecoder(lim).Decode(&e); err == nil && e.Code != 0 {
-			return &e
-		}
-		return &wire.Error{Code: r.StatusCode, Message: r.Status}
-	}
-	if !strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeJSON) {
-		return fmt.Errorf("proxy: unexpected content type %q", r.Header.Get("Content-Type"))
-	}
-	return json.NewDecoder(lim).Decode(v)
-}
-
-// withFrame reads a binary response body into a pooled buffer, hands
-// it to fn (the bytes are valid only during the call), then drains and
-// releases everything for connection reuse.
-func withFrame(r *http.Response, fn func(body []byte) error) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-	}()
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	b := *bp
-	lim := io.LimitReader(r.Body, 1<<20)
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := lim.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bp = b
-			return err
-		}
-	}
-	*bp = b
-	return fn(b)
+	return out, nil
 }

@@ -667,10 +667,10 @@ func (e *RefreshError) Error() string {
 // "first error" regardless of refresh parallelism.
 func (e *RefreshError) Unwrap() error { return e.Failed[0] }
 
-// RefreshFilters pulls filter snapshots from every ledger in the
-// directory, using deltas when the proxy already holds an epoch and
-// falling back to full fetches when the delta is unavailable (expired
-// epoch or resized filter). Ledgers refresh in parallel; failures are
+// RefreshFilters brings every ledger's filter in the directory to its
+// latest epoch by FilterSync: a delta when the proxy already holds a
+// base the ledger recognizes, a full snapshot otherwise (first pull,
+// expired epoch, resized filter). Ledgers refresh in parallel; failures are
 // collected into a RefreshError naming each failed ledger, with the
 // lowest-numbered ledger's error as the deterministic Unwrap target.
 func (v *Validator) RefreshFilters(dir *wire.Directory) error {
@@ -695,38 +695,20 @@ func (v *Validator) RefreshFilters(dir *wire.Directory) error {
 	return &RefreshError{Failed: failed}
 }
 
+// refreshOne runs one bloom.Sync round against a ledger. The held epoch
+// goes up with the hash of the filter actually held, so a base mismatch
+// — a ledger that rebuilt with different m/k, or restarted and
+// renumbered its epochs — resolves to a snapshot instead of a
+// corrupting delta or a failed refresh.
 func (v *Validator) refreshOne(lid ids.LedgerID, client wire.Service) error {
 	set := v.fset.Load()
-	held := set.epochs[lid]
-	heldFilter := set.filters[lid]
-
-	if held > 0 && heldFilter != nil {
-		// Versioned sync: present the held epoch AND the hash of the
-		// filter we actually hold. The server decides delta vs snapshot
-		// by size, and a base mismatch — a ledger that rebuilt with
-		// different m/k mid-stream, or restarted and renumbered epochs so
-		// "epoch held" no longer names the bits we have — resolves to a
-		// snapshot instead of a corrupting delta or a failed refresh.
-		h := heldFilter.Hash()
-		payload, latest, err := client.FilterSync(held, h[:])
-		if err == nil {
-			if len(payload) == 0 {
-				return nil // server validated our base: already current
-			}
-			// ApplyUpdate works on a clone; the held filter is untouched
-			// if the payload turns out corrupt.
-			if f, aerr := bloom.ApplyUpdate(heldFilter, payload); aerr == nil {
-				v.SetFilter(lid, latest, f)
-				return nil
-			}
-		}
-		// Sync unavailable (older server) or payload rejected: fall
-		// through to the unconditional full fetch.
-	}
-	epoch, f, err := client.Filter()
+	held := set.filters[lid]
+	next, latest, _, err := bloom.Sync(client.FilterSync, set.epochs[lid], held)
 	if err != nil {
 		return err
 	}
-	v.SetFilter(lid, epoch, f)
+	if next != held {
+		v.SetFilter(lid, latest, next)
+	}
 	return nil
 }

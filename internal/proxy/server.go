@@ -5,7 +5,6 @@ import (
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
-	"irs/internal/obs"
 	"irs/internal/wire"
 )
 
@@ -22,10 +21,9 @@ type Server struct {
 	v   *Validator
 	dir *wire.Directory
 	mux *http.ServeMux
-	// codecCtr/txBytes split hot-route responses by encoding: index 0
-	// JSON, 1 IRSW1.
-	codecCtr [2]*obs.Counter
-	txBytes  [2]*obs.Counter
+	// codec counts hot-route responses by encoding
+	// (irs_proxy_server_codec_total, irs_proxy_server_tx_bytes_total).
+	codec *wire.ServerCodec
 }
 
 // ValidateResponse is the proxy's answer to a browser.
@@ -61,38 +59,8 @@ func NewServer(cfg Config, dir *wire.Directory) *Server {
 	s.mux.HandleFunc("POST /v1/validate/batch", s.handleValidateBatch)
 	s.mux.HandleFunc("POST /v1/refresh", s.handleRefresh)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	reg := s.v.Registry()
-	for i, name := range [2]string{"json", "binary"} {
-		l := obs.L("codec", name)
-		s.codecCtr[i] = reg.Counter("irs_proxy_server_codec_total", l)
-		s.txBytes[i] = reg.Counter("irs_proxy_server_tx_bytes_total", l)
-	}
+	s.codec = wire.NewServerCodec(s.v.Registry(), "irs_proxy_server")
 	return s
-}
-
-// observeCodec records one hot-route response's encoding; n < 0 means
-// the byte count is unknown.
-func (s *Server) observeCodec(binary bool, n int) {
-	i := 0
-	if binary {
-		i = 1
-	}
-	s.codecCtr[i].Inc()
-	if n >= 0 {
-		s.txBytes[i].Add(uint64(n))
-	}
-}
-
-// writeBinary writes one IRSW1 response frame built by encode into a
-// pooled buffer.
-func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []byte) {
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	*bp = encode(*bp)
-	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(*bp)
-	s.observeCodec(true, n)
 }
 
 // Validator exposes the core for tests and operators.
@@ -136,13 +104,13 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wire.AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte {
+		s.codec.WriteBinary(w, func(dst []byte) []byte {
 			return wire.EncodeValidateResp(dst, byte(res.State), byte(res.Source),
 				res.State == ledger.StateActive, res.Proof)
 		})
 		return
 	}
-	s.observeCodec(false, -1)
+	s.codec.Observe(false, -1)
 	resp := &ValidateResponse{
 		State:       res.State.String(),
 		Source:      res.Source.String(),
@@ -211,7 +179,7 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wire.AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte {
+		s.codec.WriteBinary(w, func(dst []byte) []byte {
 			return wire.EncodeValidateBatchResp(dst, len(results),
 				func(i int) (byte, byte, bool, *ledger.StatusProof) {
 					res := results[i]
@@ -221,7 +189,7 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.observeCodec(false, -1)
+	s.codec.Observe(false, -1)
 	resp := &ValidateBatchResponse{Results: make([]ValidateResponse, len(results))}
 	for i, res := range results {
 		resp.Results[i] = ValidateResponse{

@@ -141,40 +141,19 @@ func isSnapshotPayload(p []byte) bool {
 	return len(p) >= 6 && string(p[:6]) == "IRSBF1"
 }
 
-// Pull advances the cache one sync round against an upstream tier.
-// Returns whether a new epoch was installed and the payload bytes
-// transferred. A payload the held base cannot absorb (upstream restart,
-// local corruption) is retried as an explicit cold sync — the
-// full-snapshot fallback — so Pull converges whenever the upstream
-// serves at all.
+// Pull advances the cache one sync round against an upstream tier
+// (bloom.Sync, including its cold-snapshot fallback for a payload the
+// held base cannot absorb). Returns whether a new epoch was installed
+// and the payload bytes transferred.
 func (fc *FilterCache) Pull(src Syncer) (changed bool, bytes int, err error) {
 	held, f, _ := fc.Latest()
-	var baseHash []byte
-	if f != nil {
-		h := f.Hash()
-		baseHash = h[:]
-	}
-	payload, latest, err := src.FilterSync(held, baseHash)
+	next, latest, bytes, err := bloom.Sync(src.FilterSync, held, f)
 	if err != nil {
-		return false, 0, err
+		return false, bytes, err
 	}
-	if len(payload) == 0 {
+	if next == f {
 		fc.m.pullCurrent.Inc()
 		return false, 0, nil
-	}
-	bytes = len(payload)
-	next, aerr := bloom.ApplyUpdate(f, payload)
-	if aerr != nil {
-		// Defense in depth: ask for a standalone snapshot.
-		payload, latest, err = src.FilterSync(0, nil)
-		if err != nil {
-			return false, bytes, err
-		}
-		bytes += len(payload)
-		next, err = bloom.ApplyUpdate(nil, payload)
-		if err != nil {
-			return false, bytes, err
-		}
 	}
 	fc.Install(latest, next)
 	fc.m.pullChanged.Inc()

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/hex"
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/obs"
@@ -72,7 +70,7 @@ func NewTransport() *http.Transport {
 // per client at construction, never per call.
 var clientRPCs = []string{
 	"claim", "op", "status", "status_batch", "seq",
-	"keys", "filter", "filter_delta", "filter_sync", "admin_revoke",
+	"keys", "filter_sync", "admin_revoke",
 }
 
 // rpcInstruments is one RPC's pre-interned series.
@@ -182,21 +180,12 @@ func transportErr(err error) error {
 
 // Client speaks the ledger protocol. It is safe for concurrent use.
 type Client struct {
-	base    string
-	http    *http.Client
-	admin   string
-	timeout time.Duration
-	// ctx, when non-nil, is the base context every request derives from
-	// (WithContext); nil means context.Background().
-	ctx context.Context
-	// obs holds the pre-interned per-RPC instruments; nil when the
-	// client was built without ClientOptions.Obs.
-	obs *clientObs
-	// codec is the preferred hot-RPC encoding; binOK records whether
-	// the server has advertised IRSW1 (pointer so WithContext copies
-	// share the negotiation state).
-	codec Codec
+	base  string
+	admin string
+	// binOK is n's negotiation state: whether the server has advertised
+	// IRSW1.
 	binOK *atomic.Bool
+	n     Negotiator
 }
 
 // NewClient creates a client for the ledger at base (e.g.
@@ -212,34 +201,20 @@ func NewClientOpts(base string, adminToken string, opts ClientOptions) *Client {
 	if hc == nil {
 		hc = &http.Client{Transport: NewTransport()}
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
+	c := &Client{base: base, admin: adminToken, binOK: new(atomic.Bool)}
+	c.n = NewNegotiator(hc, opts.Codec, c.binOK)
+	c.n.timeout = opts.Timeout
+	if c.n.timeout == 0 {
+		c.n.timeout = DefaultTimeout
 	}
-	var co *clientObs
 	if opts.Obs != nil {
-		co = newClientObs(opts.Obs)
+		c.n.obs = newClientObs(opts.Obs)
 	}
-	return &Client{
-		base: base, admin: adminToken, http: hc, timeout: timeout, obs: co,
-		codec: opts.Codec, binOK: new(atomic.Bool),
-	}
+	return c
 }
 
 // Codec reports the client's preferred hot-RPC encoding.
-func (c *Client) Codec() Codec { return c.codec }
-
-// acceptValue is the Accept header a binary-preferring client sends:
-// IRSW1 first, JSON as the declared fallback.
-const acceptValue = ContentTypeBinary + ", " + ContentTypeJSON
-
-// noteWire records the server's codec advertisement; once a response
-// has carried it, request bodies may be encoded in IRSW1.
-func (c *Client) noteWire(r *http.Response) {
-	if r.Header.Get(WireHeader) == WireV1 {
-		c.binOK.Store(true)
-	}
-}
+func (c *Client) Codec() Codec { return c.n.codec }
 
 // Base returns the base URL the client targets.
 func (c *Client) Base() string { return c.base }
@@ -249,243 +224,23 @@ func (c *Client) Base() string { return c.base }
 // uses this to enforce per-attempt deadlines.
 func (c *Client) WithContext(ctx context.Context) Service {
 	cp := *c
-	cp.ctx = ctx
+	cp.n.ctx = ctx
 	return &cp
 }
 
-// newRequest builds a request carrying the client's context and
-// deadline. The returned cancel must be called once the response body
-// is fully consumed.
-func (c *Client) newRequest(method, path string, body io.Reader) (*http.Request, context.CancelFunc, error) {
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancel := context.CancelFunc(func() {})
-	if c.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-	}
-	hr, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		cancel()
-		return nil, nil, err
-	}
-	return hr, cancel, nil
+func (c *Client) postJSON(rpc, path string, req, resp any, auth string) error {
+	return c.n.Do(&Call{RPC: rpc, URL: c.base + path, Auth: auth,
+		JSON: func() any { return req }, OnJSON: decodeJSON(resp)})
 }
 
-func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]string) (err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("wire: encoding request: %w", err)
-	}
-	hr, cancel, err := c.newRequest(http.MethodPost, path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	hr.Header.Set("Content-Type", "application/json")
-	for k, v := range headers {
-		hr.Header.Set(k, v)
-	}
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return fmt.Errorf("wire: POST %s: %w", path, transportErr(err))
-	}
-	c.obs.observeCodec(false, int(r.ContentLength))
-	return decodeResponse(r, resp)
-}
-
-func (c *Client) getJSON(rpc, path string, resp any) (err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
-	}
-	c.obs.observeCodec(false, int(r.ContentLength))
-	return decodeResponse(r, resp)
-}
-
-// frameErr classifies a frame decode failure: a truncated or CRC-bad
-// frame is indistinguishable from bytes lost in flight, so it becomes
-// a TransportError and the retry layer's idempotency rules decide
-// whether to replay. Anything else passes through unchanged.
-func frameErr(err error) error {
-	if errors.Is(err, ErrFrameTruncated) || errors.Is(err, ErrFrameCorrupt) {
-		return &TransportError{Err: err}
-	}
-	return err
-}
-
-// drainClose empties (bounded) and closes a response body so the
-// connection stays reusable; the binary paths share decodeResponse's
-// keep-alive contract.
-func drainClose(body io.ReadCloser, limit int64) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, limit))
-	body.Close()
-}
-
-// readBodyPooled drains r into a pooled buffer. Steady state this
-// allocates nothing: the buffer grows to the largest response seen and
-// is then reused. A body exceeding max is a truncation-class transport
-// failure (the peer is not speaking our protocol bounds).
-func readBodyPooled(r io.Reader, max int) (*[]byte, error) {
-	bp := GetBuf()
-	b := *bp
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if len(b) > max {
-			*bp = b
-			PutBuf(bp)
-			return nil, ErrFrameCorrupt
-		}
-		if err == io.EOF {
-			*bp = b
-			return bp, nil
-		}
-		if err != nil {
-			*bp = b
-			PutBuf(bp)
-			return nil, err
-		}
-	}
-}
-
-// getBinary issues a GET advertising IRSW1 and dispatches the response
-// to exactly one decoder by Content-Type. onBinary receives the whole
-// framed body in a pooled buffer, valid only during the call; onJSON
-// is the compatibility path and receives the open response (it must
-// fully consume the body, e.g. via decodeResponse).
-func (c *Client) getBinary(rpc, path string, maxResp int, onBinary func(body []byte) error, onJSON func(r *http.Response) error) (err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	hr.Header.Set("Accept", acceptValue)
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
-	}
-	c.noteWire(r)
-	if r.StatusCode/100 != 2 {
-		return decodeResponse(r, nil)
-	}
-	if !IsBinaryContent(r.Header.Get("Content-Type")) {
-		c.obs.observeCodec(false, int(r.ContentLength))
-		return onJSON(r)
-	}
-	defer drainClose(r.Body, int64(maxResp))
-	bp, rerr := readBodyPooled(r.Body, maxResp)
-	if rerr != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, transportErr(rerr))
-	}
-	defer PutBuf(bp)
-	c.obs.observeCodec(true, len(*bp))
-	if derr := onBinary(*bp); derr != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, derr)
-	}
-	return nil
-}
-
-// postNegotiated runs one body-bearing hot RPC under codec
-// negotiation. jsonReq builds the fallback request value (called only
-// when a JSON body is actually sent); encodeBinary appends the IRSW1
-// request frame. The request body is binary only once the server has
-// advertised IRSW1; if a rolled-back server then rejects a binary body
-// with a 4xx and no advertisement, the call is retried once re-encoded
-// as JSON — safe regardless of idempotency, because the old server
-// refused the body at parse time, before any state change.
-func (c *Client) postNegotiated(rpc, path string, jsonReq func() any, encodeBinary func(dst []byte) []byte, onBinary func(body []byte) error, onJSON func(r *http.Response) error) error {
-	sendBinary := c.binOK.Load()
-	advertised, err := c.postOnce(rpc, path, jsonReq, encodeBinary, sendBinary, onBinary, onJSON)
-	if sendBinary && !advertised {
-		var we *Error
-		if errors.As(err, &we) && we.Code >= 400 && we.Code < 500 {
-			c.binOK.Store(false)
-			_, err = c.postOnce(rpc, path, jsonReq, encodeBinary, false, onBinary, onJSON)
-		}
-	}
-	return err
-}
-
-// postOnce performs one negotiated POST exchange, reporting whether
-// the response advertised IRSW1 alongside the call's outcome.
-func (c *Client) postOnce(rpc, path string, jsonReq func() any, encodeBinary func(dst []byte) []byte, sendBinary bool, onBinary func(body []byte) error, onJSON func(r *http.Response) error) (advertised bool, err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	var body []byte
-	ct := ContentTypeJSON
-	if sendBinary {
-		bp := GetBuf()
-		defer PutBuf(bp)
-		*bp = encodeBinary(*bp)
-		body = *bp
-		ct = ContentTypeBinary
-	} else {
-		body, err = json.Marshal(jsonReq())
-		if err != nil {
-			return false, fmt.Errorf("wire: encoding request: %w", err)
-		}
-	}
-	hr, cancel, err := c.newRequest(http.MethodPost, path, bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	defer cancel()
-	hr.Header.Set("Content-Type", ct)
-	hr.Header.Set("Accept", acceptValue)
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return false, fmt.Errorf("wire: POST %s: %w", path, transportErr(err))
-	}
-	advertised = r.Header.Get(WireHeader) == WireV1
-	c.noteWire(r)
-	if r.StatusCode/100 != 2 {
-		return advertised, decodeResponse(r, nil)
-	}
-	if !IsBinaryContent(r.Header.Get("Content-Type")) {
-		c.obs.observeCodec(false, int(r.ContentLength))
-		return advertised, onJSON(r)
-	}
-	defer drainClose(r.Body, maxBody)
-	bp, rerr := readBodyPooled(r.Body, maxBody)
-	if rerr != nil {
-		return advertised, fmt.Errorf("wire: POST %s: %w", path, transportErr(rerr))
-	}
-	defer PutBuf(bp)
-	c.obs.observeCodec(true, len(*bp))
-	if derr := onBinary(*bp); derr != nil {
-		return advertised, fmt.Errorf("wire: POST %s: %w", path, derr)
-	}
-	return advertised, nil
+func (c *Client) getJSON(rpc, path string, resp any) error {
+	return c.n.Do(&Call{RPC: rpc, URL: c.base + path, OnJSON: decodeJSON(resp)})
 }
 
 // Claim registers a photo and returns the receipt.
 func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 	var resp ClaimResponse
-	if err := c.postJSON("claim", "/v1/claim", req, &resp, nil); err != nil {
+	if err := c.postJSON("claim", "/v1/claim", req, &resp, ""); err != nil {
 		return ledger.Receipt{}, err
 	}
 	id, err := ids.Parse(resp.ID)
@@ -501,52 +256,33 @@ func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 
 // Apply submits a signed revoke/unrevoke.
 func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) error {
-	return c.postJSON("op", "/v1/op", &OpRequest{ID: id.String(), Op: int(op), Seq: seq, Sig: sig}, nil, nil)
+	return c.postJSON("op", "/v1/op", &OpRequest{ID: id.String(), Op: int(op), Seq: seq, Sig: sig}, nil, "")
 }
 
 // Status validates a claim, returning the parsed signed proof.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	path := "/v1/status?id=" + url.QueryEscape(id.String())
-	if c.codec != CodecBinary {
-		var resp StatusResponse
-		if err := c.getJSON("status", path, &resp); err != nil {
-			return nil, err
-		}
-		return ledger.UnmarshalProof(resp.Proof)
-	}
 	var proof *ledger.StatusProof
-	err := c.getBinary("status", path, maxBody,
-		func(body []byte) error {
-			kind, payload, err := DecodeMsg(body, MaxFramePayload)
-			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgStatusResp {
-				return frameErr(ErrFrameCorrupt)
-			}
+	err := c.n.Do(&Call{
+		RPC: "status", URL: c.base + "/v1/status?id=" + url.QueryEscape(id.String()),
+		Kind: MsgStatusResp,
+		OnBinary: func(payload []byte) error {
 			raw, err := DecodeStatusResp(payload)
 			if err != nil {
-				return frameErr(err)
-			}
-			p, perr := ledger.UnmarshalProof(raw)
-			if perr != nil {
-				return perr
-			}
-			proof = p
-			return nil
-		},
-		func(r *http.Response) error {
-			var resp StatusResponse
-			if err := decodeResponse(r, &resp); err != nil {
 				return err
 			}
-			p, perr := ledger.UnmarshalProof(resp.Proof)
-			if perr != nil {
-				return perr
+			proof, err = ledger.UnmarshalProof(raw)
+			return err
+		},
+		OnJSON: func(body io.Reader, _ http.Header) error {
+			var resp StatusResponse
+			if err := json.NewDecoder(body).Decode(&resp); err != nil {
+				return err
 			}
-			proof = p
-			return nil
-		})
+			var err error
+			proof, err = ledger.UnmarshalProof(resp.Proof)
+			return err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -564,60 +300,46 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	if len(batch) > MaxStatusBatch {
 		return nil, fmt.Errorf("wire: batch of %d exceeds limit %d", len(batch), MaxStatusBatch)
 	}
-	if c.codec != CodecBinary {
-		req := &StatusBatchRequest{IDs: make([]string, len(batch))}
-		for i, id := range batch {
-			req.IDs[i] = id.String()
-		}
-		var resp StatusBatchResponse
-		if err := c.postJSON("status_batch", "/v1/status/batch", req, &resp, nil); err != nil {
-			return nil, err
-		}
-		proofs := make([]*ledger.StatusProof, len(batch))
-		if err := fillProofs(batch, resp.Proofs, proofs); err != nil {
-			return nil, err
-		}
-		return proofs, nil
-	}
 	proofs := make([]*ledger.StatusProof, len(batch))
-	err := c.postNegotiated("status_batch", "/v1/status/batch",
-		func() any {
+	err := c.n.Do(&Call{
+		RPC: "status_batch", URL: c.base + "/v1/status/batch",
+		JSON: func() any {
 			req := &StatusBatchRequest{IDs: make([]string, len(batch))}
 			for i, id := range batch {
 				req.IDs[i] = id.String()
 			}
 			return req
 		},
-		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) },
-		func(body []byte) error {
-			kind, payload, err := DecodeMsg(body, MaxFramePayload)
-			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgStatusBatchResp {
-				return frameErr(ErrFrameCorrupt)
-			}
+		Binary: func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) },
+		Kind:   MsgStatusBatchResp,
+		OnBinary: func(payload []byte) error {
 			n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
 				if i >= len(batch) {
 					return fmt.Errorf("wire: server returned more proofs than the %d requested", len(batch))
 				}
 				return checkProof(batch, i, raw, proofs)
 			})
-			if err != nil {
-				return frameErr(err)
+			if err == nil && n != len(batch) {
+				err = fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
 			}
-			if n != len(batch) {
-				return fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
+			return err
+		},
+		OnJSON: func(body io.Reader, _ http.Header) error {
+			var resp StatusBatchResponse
+			if err := json.NewDecoder(body).Decode(&resp); err != nil {
+				return err
+			}
+			if len(resp.Proofs) != len(batch) {
+				return fmt.Errorf("wire: server returned %d proofs for %d ids", len(resp.Proofs), len(batch))
+			}
+			for i, raw := range resp.Proofs {
+				if err := checkProof(batch, i, raw, proofs); err != nil {
+					return err
+				}
 			}
 			return nil
 		},
-		func(r *http.Response) error {
-			var resp StatusBatchResponse
-			if err := decodeResponse(r, &resp); err != nil {
-				return err
-			}
-			return fillProofs(batch, resp.Proofs, proofs)
-		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -635,20 +357,6 @@ func checkProof(batch []ids.PhotoID, i int, raw []byte, out []*ledger.StatusProo
 		return fmt.Errorf("wire: proof %d attests %s, want %s", i, p.ID, batch[i])
 	}
 	out[i] = p
-	return nil
-}
-
-// fillProofs validates a JSON batch response's proofs against the
-// request and parses them into out.
-func fillProofs(batch []ids.PhotoID, raws [][]byte, out []*ledger.StatusProof) error {
-	if len(raws) != len(batch) {
-		return fmt.Errorf("wire: server returned %d proofs for %d ids", len(raws), len(batch))
-	}
-	for i, raw := range raws {
-		if err := checkProof(batch, i, raw, out); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -673,87 +381,25 @@ func (c *Client) Keys() (*KeysResponse, error) {
 	return &resp, nil
 }
 
-// maxFilterBytes bounds filter downloads; the bootstrap design tops out
-// at proxy-held filters, so 1 GiB mirrors the paper's largest
+// maxFilterBytes bounds filter sync bodies; the bootstrap design tops
+// out at proxy-held filters, so 1 GiB mirrors the paper's largest
 // browser-resident filter.
 const maxFilterBytes = 1 << 30
-
-// getRaw issues a GET whose successful body is binary (filters); error
-// bodies are still the JSON protocol error.
-func (c *Client) getRaw(rpc, path string) (raw []byte, epoch uint64, err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer cancel()
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		defer func() { _, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBody)) }()
-		var e Error
-		if jerr := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&e); jerr == nil && e.Code != 0 {
-			return nil, 0, &e
-		}
-		return nil, 0, &Error{Code: r.StatusCode, Message: r.Status}
-	}
-	epoch, err = strconv.ParseUint(r.Header.Get("X-IRS-Epoch"), 10, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: missing epoch header on %s", path)
-	}
-	raw, err = io.ReadAll(io.LimitReader(r.Body, maxFilterBytes))
-	if err != nil {
-		return nil, 0, transportErr(err)
-	}
-	return raw, epoch, nil
-}
-
-// Filter downloads the latest revocation filter snapshot.
-func (c *Client) Filter() (epoch uint64, f *bloom.Filter, err error) {
-	raw, epoch, err := c.getRaw("filter", "/v1/filter")
-	if err != nil {
-		return 0, nil, err
-	}
-	f, err = bloom.Unmarshal(raw)
-	return epoch, f, err
-}
-
-// FilterDelta downloads the delta from a held epoch to the latest.
-func (c *Client) FilterDelta(from uint64) (delta []byte, latest uint64, err error) {
-	return c.getRaw("filter_delta", "/v1/filter/delta?from="+strconv.FormatUint(from, 10))
-}
 
 // FilterSync runs one round of the versioned sync protocol: the held
 // epoch and base-filter hash go up, an ApplyUpdate payload (or nothing,
 // if current) comes back.
 func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {
-	path := "/v1/filter/sync?from=" + strconv.FormatUint(from, 10) +
-		"&base=" + hex.EncodeToString(baseHash)
-	if c.codec != CodecBinary {
-		payload, latest, err = c.getRaw("filter_sync", path)
-		if err == nil && len(payload) == 0 {
-			payload = nil
-		}
-		return payload, latest, err
-	}
-	err = c.getBinary("filter_sync", path, maxFilterBytes,
-		func(body []byte) error {
-			kind, p, err := DecodeMsg(body, maxFilterBytes)
-			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgFilterSyncResp {
-				return frameErr(ErrFrameCorrupt)
-			}
+	err = c.n.Do(&Call{
+		RPC: "filter_sync",
+		URL: c.base + "/v1/filter/sync?from=" + strconv.FormatUint(from, 10) +
+			"&base=" + hex.EncodeToString(baseHash),
+		Kind: MsgFilterSyncResp,
+		Max:  maxFilterBytes,
+		OnBinary: func(p []byte) error {
 			lat, upd, err := DecodeFilterSyncResp(p)
 			if err != nil {
-				return frameErr(err)
+				return err
 			}
 			latest = lat
 			if len(upd) > 0 {
@@ -763,25 +409,24 @@ func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, lates
 			}
 			return nil
 		},
-		func(r *http.Response) error {
-			// Compatibility shape: raw octet-stream body, epoch in the
-			// X-IRS-Epoch header.
-			epoch, perr := strconv.ParseUint(r.Header.Get("X-IRS-Epoch"), 10, 64)
-			if perr != nil {
-				drainClose(r.Body, maxBody)
-				return fmt.Errorf("wire: missing epoch header on %s", path)
+		// The JSON codec's shape: raw octet-stream body, epoch in the
+		// X-IRS-Epoch header.
+		OnJSON: func(body io.Reader, h http.Header) error {
+			epoch, err := strconv.ParseUint(h.Get("X-IRS-Epoch"), 10, 64)
+			if err != nil {
+				return fmt.Errorf("wire: missing epoch header on filter sync")
 			}
-			raw, rerr := io.ReadAll(io.LimitReader(r.Body, maxFilterBytes))
-			r.Body.Close()
-			if rerr != nil {
-				return transportErr(rerr)
+			raw, err := io.ReadAll(body)
+			if err != nil {
+				return transportErr(err)
 			}
 			latest = epoch
 			if len(raw) > 0 {
 				payload = raw
 			}
 			return nil
-		})
+		},
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -792,8 +437,7 @@ func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, lates
 // constructed with the ledger's admin token.
 func (c *Client) PermanentRevoke(id ids.PhotoID) error {
 	return c.postJSON("admin_revoke", "/v1/admin/permanent-revoke",
-		&AdminRevokeRequest{ID: id.String()}, nil,
-		map[string]string{"Authorization": "Bearer " + c.admin})
+		&AdminRevokeRequest{ID: id.String()}, nil, "Bearer "+c.admin)
 }
 
 // Directory maps ledger identifiers to Service instances, letting any

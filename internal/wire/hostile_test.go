@@ -47,8 +47,8 @@ func TestClientAgainstGarbageJSON(t *testing.T) {
 	if _, err := c.Keys(); err == nil {
 		t.Error("garbage keys response accepted")
 	}
-	if _, _, err := c.Filter(); err == nil {
-		t.Error("garbage filter response accepted")
+	if _, _, err := c.FilterSync(0, nil); err == nil {
+		t.Error("garbage filter sync response accepted")
 	}
 }
 
@@ -67,16 +67,23 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 	if _, err := NewClient(srv2.URL, "").Keys(); err == nil {
 		t.Error("short keys accepted")
 	}
+
+	// A filter sync whose epoch header is not an epoch number.
+	srv3 := hostileServer(t, http.StatusOK, "application/octet-stream", "IRSBF1xxxx",
+		map[string]string{"X-IRS-Epoch": "soon"})
+	if _, _, err := NewClient(srv3.URL, "").FilterSync(0, nil); err == nil {
+		t.Error("non-numeric sync epoch accepted")
+	}
 }
 
 func TestClientAgainstMissingEpochHeader(t *testing.T) {
 	srv := hostileServer(t, http.StatusOK, "application/octet-stream", "IRSBF1xxxx", nil)
 	c := NewClient(srv.URL, "")
-	if _, _, err := c.Filter(); err == nil {
-		t.Error("filter without epoch header accepted")
+	if _, _, err := c.FilterSync(0, nil); err == nil {
+		t.Error("cold sync without epoch header accepted")
 	}
-	if _, _, err := c.FilterDelta(1); err == nil {
-		t.Error("delta without epoch header accepted")
+	if _, _, err := c.FilterSync(1, make([]byte, 32)); err == nil {
+		t.Error("delta sync without epoch header accepted")
 	}
 }
 

@@ -53,13 +53,13 @@ func TestLoopbackParity(t *testing.T) {
 		t.Fatalf("status %v err %v", p, err)
 	}
 
-	// Filter + delta.
+	// Filter sync: a cold round, then a delta round.
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	epoch, f, err := lb.Filter()
+	f, epoch, _, err := bloom.Sync(lb.FilterSync, 0, nil)
 	if err != nil || epoch != 1 {
-		t.Fatalf("filter epoch %d err %v", epoch, err)
+		t.Fatalf("cold sync epoch %d err %v", epoch, err)
 	}
 	if !f.Test(ledger.FilterKey(rec.ID)) {
 		t.Error("revoked claim missing from loopback filter")
@@ -67,12 +67,12 @@ func TestLoopbackParity(t *testing.T) {
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	delta, latest, err := lb.FilterDelta(epoch)
+	f2, latest, _, err := bloom.Sync(lb.FilterSync, epoch, f)
 	if err != nil || latest != 2 {
-		t.Fatalf("delta latest %d err %v", latest, err)
+		t.Fatalf("delta sync latest %d err %v", latest, err)
 	}
-	if err := bloom.Apply(f, delta); err != nil {
-		t.Fatal(err)
+	if _, want, _ := l.FilterSnapshot(); f2.Hash() != want.Hash() {
+		t.Error("delta sync did not reproduce the latest snapshot")
 	}
 
 	// PermanentRevoke (trusted in-process caller).

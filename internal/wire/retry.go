@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 )
@@ -21,7 +20,7 @@ import (
 // jitter), a down ledger cannot consume unbounded work (per-attempt
 // deadline plus a retry budget shared across calls), and a
 // non-idempotent verb is never replayed after it may have reached the
-// server — Status/StatusBatch/Seq/Keys/Filter/FilterDelta retry on any
+// server — Status/StatusBatch/Seq/Keys/FilterSync retry on any
 // transport failure, Claim/Apply/PermanentRevoke retry only on
 // pre-send failures (dial class), where the request provably never
 // left the client.
@@ -290,26 +289,6 @@ func (r *RetryClient) Keys() (*KeysResponse, error) {
 		return e
 	})
 	return out, err
-}
-
-// Filter implements Service.
-func (r *RetryClient) Filter() (epoch uint64, f *bloom.Filter, err error) {
-	err = r.do(true, func(s Service) error {
-		var e error
-		epoch, f, e = s.Filter()
-		return e
-	})
-	return epoch, f, err
-}
-
-// FilterDelta implements Service.
-func (r *RetryClient) FilterDelta(from uint64) (delta []byte, latest uint64, err error) {
-	err = r.do(true, func(s Service) error {
-		var e error
-		delta, latest, e = s.FilterDelta(from)
-		return e
-	})
-	return delta, latest, err
 }
 
 // FilterSync implements Service; idempotent, retried on any transport

@@ -27,11 +27,9 @@ type Server struct {
 	adminToken string
 	mux        *http.ServeMux
 	obsReg     *obs.Registry
-	// codecCtr/txBytes split hot-route responses by encoding:
-	// index 0 JSON, 1 IRSW1. Bytes are counted where the handler knows
-	// them (always, for binary frames).
-	codecCtr [2]*obs.Counter
-	txBytes  [2]*obs.Counter
+	// codec counts hot-route responses by encoding
+	// (irs_wire_server_codec_total, irs_wire_server_tx_bytes_total).
+	codec *ServerCodec
 }
 
 // ServerOptions tunes the optional server surfaces.
@@ -61,12 +59,8 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	if reg == nil {
 		reg = l.Registry()
 	}
-	s := &Server{ledger: l, adminToken: adminToken, mux: http.NewServeMux(), obsReg: reg}
-	for i, name := range [2]string{"json", "binary"} {
-		l := obs.L("codec", name)
-		s.codecCtr[i] = reg.Counter("irs_wire_server_codec_total", l)
-		s.txBytes[i] = reg.Counter("irs_wire_server_tx_bytes_total", l)
-	}
+	s := &Server{ledger: l, adminToken: adminToken, mux: http.NewServeMux(), obsReg: reg,
+		codec: NewServerCodec(reg, "irs_wire_server")}
 	route := func(pattern, name string, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.instrument(name, h))
 	}
@@ -76,8 +70,6 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	route("POST /v1/status/batch", "status_batch", s.handleStatusBatch)
 	route("GET /v1/seq", "seq", s.handleSeq)
 	route("GET /v1/keys", "keys", s.handleKeys)
-	route("GET /v1/filter", "filter", s.handleFilter)
-	route("GET /v1/filter/delta", "filter_delta", s.handleFilterDelta)
 	route("GET /v1/filter/sync", "filter_sync", s.handleFilterSync)
 	route("POST /v1/admin/permanent-revoke", "admin_revoke", s.handleAdminRevoke)
 	if opts.Debug {
@@ -132,31 +124,6 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// observeCodec records one hot-route response's encoding; n < 0 means
-// the byte count is unknown.
-func (s *Server) observeCodec(binary bool, n int) {
-	i := 0
-	if binary {
-		i = 1
-	}
-	s.codecCtr[i].Inc()
-	if n >= 0 {
-		s.txBytes[i].Add(uint64(n))
-	}
-}
-
-// writeBinary writes one IRSW1 response frame built by encode into a
-// pooled buffer — the steady-state zero-allocation server encode path.
-func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []byte) {
-	bp := GetBuf()
-	defer PutBuf(bp)
-	*bp = encode(*bp)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(*bp)
-	s.observeCodec(true, n)
-}
 
 // ReadBinaryBatch parses an IRSW1 id-batch request body of the given
 // message kind (MsgStatusBatchReq here, MsgValidateBatchReq at the
@@ -252,10 +219,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte { return EncodeStatusResp(dst, proof) })
+		s.codec.WriteBinary(w, func(dst []byte) []byte { return EncodeStatusResp(dst, proof) })
 		return
 	}
-	s.observeCodec(false, -1)
+	s.codec.Observe(false, -1)
 	WriteJSON(w, http.StatusOK, &StatusResponse{
 		State: proof.State.String(),
 		Proof: proof.Marshal(),
@@ -302,10 +269,10 @@ func (s *Server) handleStatusBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte { return EncodeStatusBatchResp(dst, proofs) })
+		s.codec.WriteBinary(w, func(dst []byte) []byte { return EncodeStatusBatchResp(dst, proofs) })
 		return
 	}
-	s.observeCodec(false, -1)
+	s.codec.Observe(false, -1)
 	resp := &StatusBatchResponse{Proofs: make([][]byte, len(proofs))}
 	for i, p := range proofs {
 		resp.Proofs[i] = p.Marshal()
@@ -335,35 +302,6 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
-	seq, f, err := s.ledger.FilterSnapshot()
-	if err != nil {
-		WriteError(w, statusFor(err), err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(seq, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(f.Marshal())
-}
-
-func (s *Server) handleFilterDelta(w http.ResponseWriter, r *http.Request) {
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "from must be an epoch number")
-		return
-	}
-	delta, latest, err := s.ledger.FilterDelta(from)
-	if err != nil {
-		WriteError(w, statusFor(err), err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(latest, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(delta)
-}
-
 func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -384,12 +322,12 @@ func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {
 	if AcceptsBinary(r) {
 		// IRSW1 carries the epoch in-band and CRC-protects the update
 		// payload end to end; no epoch header round trip.
-		s.writeBinary(w, func(dst []byte) []byte {
+		s.codec.WriteBinary(w, func(dst []byte) []byte {
 			return EncodeFilterSyncResp(dst, latest, payload)
 		})
 		return
 	}
-	s.observeCodec(false, len(payload))
+	s.codec.Observe(false, len(payload))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(latest, 10))
 	w.WriteHeader(http.StatusOK)
@@ -433,8 +371,7 @@ func statusFor(err error) int {
 		return http.StatusForbidden
 	case errors.Is(err, ledger.ErrNonRevocable), errors.Is(err, ledger.ErrPermanent):
 		return http.StatusConflict
-	case errors.Is(err, ledger.ErrNoSnapshot), errors.Is(err, ledger.ErrSnapshotGone),
-		errors.Is(err, ledger.ErrSnapshotAhead):
+	case errors.Is(err, ledger.ErrNoSnapshot):
 		return http.StatusNotFound
 	default:
 		return http.StatusInternalServerError

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 )
@@ -22,15 +21,14 @@ type Service interface {
 	// round trip, returning proofs in request order.
 	StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	Keys() (*KeysResponse, error)
-	Filter() (epoch uint64, f *bloom.Filter, err error)
-	FilterDelta(from uint64) (delta []byte, latest uint64, err error)
-	// FilterSync is the versioned filter sync: the caller presents the
-	// epoch and hash of the filter it holds and receives whatever
-	// payload (base-validated delta or full snapshot, whichever is
-	// smaller — feed it to bloom.ApplyUpdate) brings it to the latest
-	// epoch. An empty payload means the caller is already current. A
-	// base mismatch is resolved by the server (snapshot), not surfaced
-	// as an error.
+	// FilterSync is the one filter-distribution RPC: the caller presents
+	// the epoch and hash of the filter it holds (0 and nil for a cold
+	// start) and receives whatever payload (base-validated delta or full
+	// snapshot, whichever is smaller — feed it to bloom.ApplyUpdate)
+	// brings it to the latest epoch. An empty payload means the caller
+	// is already current. A base mismatch is resolved by the server
+	// (snapshot), not surfaced as an error. bloom.Sync runs the client
+	// side of one round.
 	FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error)
 	PermanentRevoke(id ids.PhotoID) error
 }
@@ -94,16 +92,6 @@ func (lb *Loopback) Keys() (*KeysResponse, error) {
 		SigningKey:   lb.L.SigningKey(),
 		TimestampKey: lb.L.TimestampKey(),
 	}, nil
-}
-
-// Filter implements Service.
-func (lb *Loopback) Filter() (uint64, *bloom.Filter, error) {
-	return lb.L.FilterSnapshot()
-}
-
-// FilterDelta implements Service.
-func (lb *Loopback) FilterDelta(from uint64) ([]byte, uint64, error) {
-	return lb.L.FilterDelta(from)
 }
 
 // FilterSync implements Service.

@@ -6,21 +6,25 @@
 // paths, binary filter payloads with an epoch header — because the
 // paper's adoption argument (§1: a technical intervention's "chances of
 // adoption are probably higher if it only uses familiar technology")
-// applies to the implementation too.
+// applies to the implementation too. The hot routes (marked *) also
+// speak IRSW1, a CRC-framed binary codec: a request whose Accept names
+// application/x-irs-w1 gets an IRSW1 response, and every response
+// carries X-IRS-Wire: IRSW1 so a binary-preferring client may send
+// IRSW1 request bodies after first contact (Negotiator).
 //
 // Endpoints served by a ledger (see Server):
 //
 //	POST /v1/claim         body ClaimRequest   → ClaimResponse
 //	POST /v1/op            body OpRequest      → empty
-//	GET  /v1/status?id=I   → StatusResponse (with marshaled signed proof)
+//	GET  /v1/status?id=I   → StatusResponse (with marshaled signed proof) *
+//	POST /v1/status/batch  body StatusBatchRequest → StatusBatchResponse *
 //	GET  /v1/seq?id=I      → SeqQueryResponse (for owner-side op signing)
 //	GET  /v1/keys          → KeysResponse
-//	GET  /v1/filter        → binary bloom.Filter, X-IRS-Epoch header
-//	GET  /v1/filter/delta?from=E → binary delta, X-IRS-Epoch header
 //	GET  /v1/filter/sync?from=E&base=H → binary update payload for
 //	       bloom.ApplyUpdate (v2 delta or snapshot, whichever is
 //	       smaller; empty body when the caller is current),
-//	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter
+//	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter,
+//	       and from=0 with no H asks for a full snapshot *
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty
 //	       (requires the configured bearer token; used by appeals)
 //
@@ -59,8 +63,8 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, &Error{Code: status, Message: msg})
 }
 
-// maxBody bounds request and response bodies (filters are served
-// separately with their own limit).
+// maxBody bounds request and response bodies (filter sync payloads
+// have their own limit).
 const maxBody = 1 << 20
 
 // ReadJSON decodes a request body into v, rejecting oversized or

@@ -169,7 +169,7 @@ func TestBadRequests(t *testing.T) {
 		{"short hash", http.MethodPost, "/v1/claim", `{"hash":"aGk=","pub":"","sig":""}`, http.StatusBadRequest},
 		{"bad op value", http.MethodPost, "/v1/op", `{"id":"x","op":9,"seq":1,"sig":""}`, http.StatusBadRequest},
 		{"unknown fields", http.MethodPost, "/v1/op", `{"bogus":true}`, http.StatusBadRequest},
-		{"delta no from", http.MethodGet, "/v1/filter/delta", "", http.StatusBadRequest},
+		{"sync no from", http.MethodGet, "/v1/filter/sync", "", http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, env.server.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -186,46 +186,51 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestFilterOverHTTP runs the shared client sync round (bloom.Sync)
+// against a ledger over HTTP under both codecs: 404 before the first
+// build, then a cold round and a delta round.
 func TestFilterOverHTTP(t *testing.T) {
-	env := newEnv(t, ledger.Config{}, "")
-	k := newKeypair(t)
-	// No snapshot yet.
-	if _, _, err := env.client.Filter(); ErrStatus(err) != http.StatusNotFound {
-		t.Errorf("pre-snapshot filter fetch: %v", err)
-	}
-	r := k.claimVia(t, env.client, "filtered", true) // revoked at birth
-	if _, err := env.ledger.BuildSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	epoch, f, err := env.client.Filter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 {
-		t.Errorf("epoch %d", epoch)
-	}
-	if !f.Test(ledger.FilterKey(r.ID)) {
-		t.Error("revoked id missing from downloaded filter")
-	}
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			env := newEnv(t, ledger.Config{}, "")
+			c := NewClientOpts(env.server.URL, "", ClientOptions{Codec: codec})
+			if _, _, _, err := bloom.Sync(c.FilterSync, 0, nil); ErrStatus(err) != http.StatusNotFound {
+				t.Errorf("pre-snapshot sync: %v", err)
+			}
+			r := newKeypair(t).claimVia(t, c, "filtered", true) // revoked at birth
+			if _, err := env.ledger.BuildSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			f, epoch, _, err := bloom.Sync(c.FilterSync, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if epoch != 1 {
+				t.Errorf("epoch %d", epoch)
+			}
+			if !f.Test(ledger.FilterKey(r.ID)) {
+				t.Error("revoked id missing from downloaded filter")
+			}
 
-	// Revoke another and fetch a delta.
-	k2 := newKeypair(t)
-	r2 := k2.claimVia(t, env.client, "filtered2", true)
-	if _, err := env.ledger.BuildSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	delta, latest, err := env.client.FilterDelta(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest != 2 {
-		t.Errorf("latest %d", latest)
-	}
-	if err := bloom.Apply(f, delta); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Test(ledger.FilterKey(r2.ID)) {
-		t.Error("delta did not carry the new revocation")
+			// Revoke another and sync the delta.
+			r2 := newKeypair(t).claimVia(t, c, "filtered2", true)
+			if _, err := env.ledger.BuildSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			f2, latest, received, err := bloom.Sync(c.FilterSync, epoch, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if latest != 2 {
+				t.Errorf("latest %d", latest)
+			}
+			if !f2.Test(ledger.FilterKey(r2.ID)) {
+				t.Error("delta did not carry the new revocation")
+			}
+			if received >= len(f2.Marshal()) {
+				t.Errorf("delta round moved %d bytes, no less than the %d-byte snapshot", received, len(f2.Marshal()))
+			}
+		})
 	}
 }
 

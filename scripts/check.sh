@@ -34,10 +34,15 @@ go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|Pipe
     ./internal/aggregator
 
 # Storage engine: group-commit coalescing, crash-injection recovery at
-# shard counts 1/8/32, engine/shard state equivalence, and the
+# shard counts 1/8/32, engine/shard state equivalence, the forced
+# flush inside RestoreRecords' publish/log/count step, and the
 # HTTP-wired restart hammer — all named under the race detector.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|RecoveryRemovesOrphans|MidFileCorruptionRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash' \
+go test -race -run 'GroupCommit|WALSyncOS|Crash|RecoveryRemovesOrphans|MidFileCorruptionRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|RestoreRecordsFlushInterleaving' \
     ./internal/ledger
+# The whole ledger suite again at several GOMAXPROCS values, three
+# times each, so a scheduling-dependent interleaving gets more chances
+# to show.
+go test -race -cpu 1,2,4 -count=3 ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 
 # Fuzz the binary record framing and the WAL replay path: ten seconds
@@ -55,9 +60,10 @@ go run ./cmd/irs-bench -storage -storage-out /tmp/irs_storage_smoke.json \
 # Multi-tier filter distribution and ledger replication: the topology
 # package suite (tier chaining, base-mismatch fallback, checkpoint
 # gate, anti-entropy resync) plus the named sync-protocol regressions
-# in bloom/ledger/wire/proxy, all under the race detector.
+# in bloom/ledger/wire/proxy (the shared client round, bloom.Sync,
+# included), all under the race detector.
 go test -race ./internal/topology
-go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
+go test -race -run 'FilterSync|SyncRound|DeltaV2|UpdateCrossover|ApplyUpdate|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
     ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy
 
 # Fuzz the delta decoder (varint/gap parsing, v2 hash frames): ten
@@ -87,9 +93,10 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # IRSW1 binary wire codec: the codec roundtrip/negotiation suite, the
 # mixed-version compat pins (binary client vs JSON-only server and the
 # upgrade-then-rollback path, at both the wire and proxy layers), the
-# hostile-frame TransportError classification, and the keep-alive pool
-# sizing, all named under the race detector.
-go test -race -run 'Binary|ProxyClientCodecsAgree|ProxyClientAgainstLegacyProxy|KeepAliveReuseAtHighConcurrency' \
+# hostile-frame TransportError classification (wire.Client and
+# proxy.Client alike), and the keep-alive pool sizing, all named under
+# the race detector.
+go test -race -run 'Binary|ProxyClientCodecsAgree|ProxyClientAgainstLegacyProxy|ProxyClientFrameErrorsAreTransport|KeepAliveReuseAtHighConcurrency' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
